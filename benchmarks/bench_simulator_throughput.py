@@ -184,6 +184,15 @@ class _UntracedPool(ContainerPool):
         else:
             peers.append(container.container_id)
         self._used_mb += container.memory_mb
+        # Tenant accounting is not instrumentation: ``evict`` (not
+        # frozen) debits it, so the copy must credit it.
+        tenant_id = container.function.tenant_id
+        self._tenant_used_mb[tenant_id] = (
+            self._tenant_used_mb.get(tenant_id, 0.0) + container.memory_mb
+        )
+        self._tenant_count[tenant_id] = (
+            self._tenant_count.get(tenant_id, 0) + 1
+        )
         if not container.pinned:
             heapq.heappush(
                 self._victim_heap, (_UNSCORED_KEY, container.container_id)

@@ -75,24 +75,25 @@ class LogicalClock:
     3.5
     """
 
-    def __init__(self, initial: float = 0.0) -> None:
-        self._value = float(initial)
+    # ``value`` is a plain attribute rather than a read-only property:
+    # Greedy-Dual stamps every started container with it. Move it only
+    # through :meth:`advance_to` and :meth:`reset`.
+    __slots__ = ("value",)
 
-    @property
-    def value(self) -> float:
-        return self._value
+    def __init__(self, initial: float = 0.0) -> None:
+        self.value = float(initial)
 
     def advance_to(self, value: float) -> None:
         """Move the clock forward to ``value``; ignores smaller values."""
-        if value > self._value:
-            self._value = float(value)
+        if value > self.value:
+            self.value = float(value)
 
     def reset(self, value: float = 0.0) -> None:
         """Reset the clock (only used when starting a fresh simulation)."""
-        self._value = float(value)
+        self.value = float(value)
 
     def __repr__(self) -> str:
-        return f"LogicalClock(value={self._value})"
+        return f"LogicalClock(value={self.value})"
 
 
 @runtime_checkable

@@ -41,6 +41,7 @@ class Container:
     __slots__ = (
         "container_id",
         "function",
+        "memory_mb",
         "state",
         "created_at_s",
         "last_used_s",
@@ -58,6 +59,9 @@ class Container:
     def __init__(self, function: TraceFunction, created_at_s: float) -> None:
         self.container_id: int = next(_container_ids)
         self.function = function
+        # Copied once: the function is frozen, and the pool and the
+        # policies read a container's size several times per arrival.
+        self.memory_mb: float = function.memory_mb
         self.state = ContainerState.WARM
         self.created_at_s = created_at_s
         self.last_used_s = created_at_s
@@ -81,10 +85,6 @@ class Container:
         # on add/evict) so busy/idle transitions keep the pool's O(1)
         # evictable-memory accounting current.
         self.pool = None
-
-    @property
-    def memory_mb(self) -> float:
-        return self.function.memory_mb
 
     @property
     def is_idle(self) -> bool:
@@ -116,7 +116,8 @@ class Container:
                 f"is not running"
             )
         self.state = ContainerState.WARM
-        self.last_used_s = max(self.last_used_s, now_s)
+        if now_s > self.last_used_s:
+            self.last_used_s = now_s
         if self.pool is not None:
             self.pool._container_became_idle(self)
 

@@ -41,6 +41,14 @@ class GreedyDualPolicy(KeepAlivePolicy):
     # lazy victim index applies. GDS inherits the same structure.
     monotone_priority = True
 
+    #: Whether :meth:`_value_term` reads nothing but the policy's own
+    #: frequency counters and the (frozen) function. Then the value an
+    #: arrival's announcement computes still holds when that arrival's
+    #: start hook runs, and the hook reuses it instead of computing it
+    #: a second time. A subclass whose value term reads state that can
+    #: change in between (learned costs) sets this to False.
+    value_term_is_local = True
+
     def __init__(
         self,
         frequency_weight: float = 1.0,
@@ -81,6 +89,8 @@ class GreedyDualPolicy(KeepAlivePolicy):
         # by the latest pool-aware ``on_invocation``; lets the start
         # hooks skip the sibling sweep they would otherwise repeat.
         self._arrival_refreshed_fn: Optional[str] = None
+        # The value term that refresh used (see ``value_term_is_local``).
+        self._arrival_value = 0.0
 
     # ------------------------------------------------------------------
     # Priority
@@ -89,7 +99,7 @@ class GreedyDualPolicy(KeepAlivePolicy):
     def _value_term(self, function: TraceFunction) -> float:
         """The Freq * Cost / Size part of Equation 1, scaled by the
         function's tenant weight when weights are configured."""
-        freq = self.frequency_of(function.name)
+        freq = self._frequency.get(function.name, 0)
         cost = function.init_time_s
         value = (
             (self._frequency_weight * freq)
@@ -128,6 +138,13 @@ class GreedyDualPolicy(KeepAlivePolicy):
     # before any start hook runs, which previously left siblings scored
     # with the pre-arrival frequency. The start hooks then only need to
     # stamp and score the one container they were called for.
+    #
+    # The start hook also reuses the value term the announcement
+    # computed. Between the two, Freq can only change if one of the
+    # function's own containers is evicted (``on_evict`` then
+    # recomputes the cached value); in the simulator that never
+    # happens, since a start follows its announcement with every
+    # container of the function busy or none resident.
 
     def on_invocation(
         self,
@@ -135,36 +152,39 @@ class GreedyDualPolicy(KeepAlivePolicy):
         now_s: float,
         pool: Optional[ContainerPool] = None,
     ) -> None:
-        super().on_invocation(function, now_s, pool)
+        # The base increment and ``_refresh_function_priorities``,
+        # inlined: this runs on every arrival.
+        name = function.name
+        self._frequency[name] = self._frequency.get(name, 0) + 1
         if pool is not None:
-            self._refresh_function_priorities(function, pool)
-            self._arrival_refreshed_fn = function.name
+            self._arrival_value = value = self._value_term(function)
+            for container in pool.containers_of(name):
+                container.priority = container.clock_stamp + value
+            self._arrival_refreshed_fn = name
         else:
             self._arrival_refreshed_fn = None
-
-    def _on_start(self, container: Container, pool: ContainerPool) -> None:
-        container.clock_stamp = self.clock.value
-        if self._arrival_refreshed_fn == container.function.name:
-            # Siblings were refreshed when this arrival was announced
-            # (their stamps have not changed since); only the started
-            # container's own stamp — and hence priority — moved.
-            container.priority = container.clock_stamp + self._value_term(
-                container.function
-            )
-        else:
-            # Pool-less driver (bare lifecycle tests): fall back to the
-            # full sibling sweep so cached priorities stay consistent.
-            self._refresh_function_priorities(container.function, pool)
 
     def on_warm_start(
         self, container: Container, now_s: float, pool: ContainerPool
     ) -> None:
-        self._on_start(container, pool)
+        container.clock_stamp = stamp = self.clock.value
+        function = container.function
+        if self._arrival_refreshed_fn == function.name:
+            # Siblings were refreshed when this arrival was announced
+            # (their stamps have not changed since); only the started
+            # container's own stamp — and hence priority — moved.
+            if self.value_term_is_local:
+                container.priority = stamp + self._arrival_value
+            else:
+                container.priority = stamp + self._value_term(function)
+        else:
+            # Pool-less driver (bare lifecycle tests): fall back to the
+            # full sibling sweep so cached priorities stay consistent.
+            self._refresh_function_priorities(function, pool)
 
-    def on_cold_start(
-        self, container: Container, now_s: float, pool: ContainerPool
-    ) -> None:
-        self._on_start(container, pool)
+    # A cold start stamps and scores its new container exactly like a
+    # warm one.
+    on_cold_start = on_warm_start
 
     def on_evict(
         self,
@@ -178,6 +198,10 @@ class GreedyDualPolicy(KeepAlivePolicy):
             # each evicted priority in turn computes exactly that.
             self.clock.advance_to(container.priority)
         super().on_evict(container, now_s, pool, pressure)
+        if container.function.name == self._arrival_refreshed_fn:
+            # The announced function lost a container (and perhaps its
+            # Freq): keep the value its start hook will reuse current.
+            self._arrival_value = self._value_term(container.function)
 
     def priority(self, container: Container, now_s: float) -> float:
         return container.priority
@@ -186,6 +210,7 @@ class GreedyDualPolicy(KeepAlivePolicy):
         super().reset()
         self.clock.reset()
         self._arrival_refreshed_fn = None
+        self._arrival_value = 0.0
 
     def __repr__(self) -> str:
         return f"GreedyDualPolicy(clock={self.clock.value:.4g})"

@@ -48,6 +48,10 @@ TENANT_MODES = ("shared", "partitioned", "quota")
 #: the first pop revalidates and rescores the entry.
 _UNSCORED_KEY = (float("-inf"), float("-inf"), -1)
 
+# Hot loops compare a container's state to this directly instead of
+# paying the ``is_idle`` property call.
+_WARM = ContainerState.WARM
+
 
 class CapacityError(Exception):
     """Raised when an operation would exceed the pool's memory capacity."""
@@ -478,7 +482,7 @@ class ContainerPool:
                 self._victim_heap, (_UNSCORED_KEY, container.container_id)
             )
             self._unscheduled[container.container_id] = container
-            if container.is_idle:
+            if container.state is _WARM:
                 self._evictable_mb += container.memory_mb
                 self._idle_unpinned += 1
         if self._sanitize:
@@ -669,7 +673,7 @@ class ContainerPool:
         best_last = 0.0
         for cid in ids:
             container = containers[cid]
-            if not container.is_idle:
+            if container.state is not _WARM:
                 continue
             if best is None or container.last_used_s < best_last:
                 best = container
@@ -700,7 +704,7 @@ class ContainerPool:
         return [
             c
             for c in self._containers.values()
-            if c.is_idle and not c.pinned
+            if c.state is _WARM and not c.pinned
         ]
 
     def running_containers(self) -> List[Container]:
@@ -879,7 +883,7 @@ class ContainerPool:
                     continue  # evicted since enrollment: drop the entry
                 if container.pinned:
                     continue  # reserved capacity: never a candidate
-                if not container.is_idle:
+                if container.state is not _WARM:
                     # Busy right now; park the entry until the container
                     # goes idle again (its key can only have grown by
                     # then, and a running container can never be a
@@ -950,7 +954,7 @@ class ContainerPool:
                 continue  # evicted since enrollment: drop the entry
             if container.pinned:
                 continue  # reserved capacity: never a candidate
-            if not container.is_idle:
+            if container.state is not _WARM:
                 # Parked until the container goes idle again — see
                 # :meth:`iter_victims`.
                 self._parked[container_id] = entry
@@ -1072,7 +1076,7 @@ class ContainerPool:
                 continue  # evicted or rescheduled since this push
             container = self._containers[cid]
             restore.append((deadline, cid))
-            if container.is_idle:
+            if container.state is _WARM:
                 expired.append((container, deadline))
             # else: busy past its deadline — deferred; the restored
             # entry resurfaces it on the first check after it idles.
@@ -1081,7 +1085,7 @@ class ContainerPool:
         if self._unscheduled and fallback_deadline is not None:
             for cid in sorted(self._unscheduled):
                 container = self._unscheduled[cid]
-                if not container.is_idle or container.pinned:
+                if container.state is not _WARM or container.pinned:
                     continue
                 deadline = fallback_deadline(container)
                 if deadline <= now_s:

@@ -14,8 +14,10 @@ Two modes, one report:
 * ``openloop`` — the latency-measurement mode. Arrival times are
   scaled by ``speed`` onto the wall clock and each request is sent at
   its scheduled instant *regardless of whether earlier responses have
-  arrived* (the open-loop discipline that avoids coordinated
-  omission), striped across ``connections`` persistent sockets.
+  arrived*, striped across ``connections`` persistent sockets. Each
+  request's latency runs from its scheduled instant, not from when it
+  was actually written, so a stalled server or generator shows up in
+  the latencies instead of being hidden (coordinated omission).
 
 The report carries client round-trip percentiles, the server's own
 in-engine decision latencies (echoed per response as ``decision_us``),
@@ -174,19 +176,32 @@ async def _run_openloop(
     speed: float,
     duration_s: Optional[float],
 ) -> None:
-    """Open-loop replay: request ``i`` fires at
-    ``start + (t_i - t_0) / speed`` on its assigned connection, whether
-    or not earlier responses are back."""
+    """Open-loop replay: request ``i`` is due at
+    ``start + (t_i - t_0) / speed`` on its assigned connection and is
+    sent then, whether or not earlier responses are back. Its latency
+    is measured from that due time, so time it spent waiting behind a
+    late sender counts. ``start`` is taken once every connection is
+    open, so connecting is not charged to the first requests."""
     t0 = requests[0][0] if requests else 0.0
     lanes: List[List[Tuple[float, str]]] = [[] for __ in range(connections)]
     for i, (time_s, name) in enumerate(requests):
         lanes[i % connections].append(((time_s - t0) / speed, name))
+    lanes = [schedule for schedule in lanes if schedule]
+    streams: List[Tuple["asyncio.StreamReader", "asyncio.StreamWriter"]] = []
+    try:
+        for __ in lanes:
+            streams.append(await asyncio.open_connection(host, port))
+    except BaseException:
+        for __, writer in streams:
+            writer.close()
+        raise
     started = wall_clock_s()
 
-    async def _lane(schedule: List[Tuple[float, str]]) -> None:
-        if not schedule:
-            return
-        reader, writer = await asyncio.open_connection(host, port)
+    async def _lane(
+        schedule: List[Tuple[float, str]],
+        reader: "asyncio.StreamReader",
+        writer: "asyncio.StreamWriter",
+    ) -> None:
         pending: "asyncio.Queue[Optional[float]]" = asyncio.Queue()
 
         async def _send() -> None:
@@ -195,24 +210,23 @@ async def _run_openloop(
                 # loop); the time budget simply truncates the tail.
                 if duration_s is not None and offset_s >= duration_s:
                     break
-                delay = started + offset_s - wall_clock_s()
+                due_s = started + offset_s
+                delay = due_s - wall_clock_s()
                 if delay > 0:
                     await asyncio.sleep(delay)
                 writer.write(_encode_admit(name, None))
-                pending.put_nowait(wall_clock_s())
+                pending.put_nowait(due_s)
                 report.sent += 1
                 await writer.drain()
             pending.put_nowait(None)  # sentinel: lane done sending
 
         async def _recv() -> None:
             while True:
-                sent_at = await pending.get()
-                if sent_at is None:
+                due_s = await pending.get()
+                if due_s is None:
                     return
                 status, payload = await _read_response(reader)
-                _note_response(
-                    report, status, payload, wall_clock_s() - sent_at
-                )
+                _note_response(report, status, payload, wall_clock_s() - due_s)
 
         try:
             await asyncio.gather(_send(), _recv())
@@ -223,7 +237,12 @@ async def _run_openloop(
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    await asyncio.gather(*(_lane(lane) for lane in lanes))
+    await asyncio.gather(
+        *(
+            _lane(schedule, reader, writer)
+            for schedule, (reader, writer) in zip(lanes, streams)
+        )
+    )
 
 
 async def _fetch(host: str, port: int, path: str) -> Tuple[int, dict]:

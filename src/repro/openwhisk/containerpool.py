@@ -43,6 +43,10 @@ class OnlineGreedyDualPolicy(GreedyDualPolicy):
     estimation scheme of Section 6.
     """
 
+    # The learned cost can change between an arrival's announcement
+    # and its (possibly queued) start: the start recomputes it.
+    value_term_is_local = False
+
     def __init__(self, stats: FunctionStatsTable) -> None:
         super().__init__()
         self._stats = stats

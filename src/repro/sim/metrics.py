@@ -163,7 +163,11 @@ class SimulationMetrics:
         self.actual_exec_time_s += (
             warm_time_s if actual_time_s is None else actual_time_s
         )
-        self._outcome(function_name).warm += 1
+        # ``_outcome`` inlined: this runs once per warm hit.
+        outcome = self.per_function.get(function_name)
+        if outcome is None:
+            outcome = self.per_function[function_name] = FunctionOutcome()
+        outcome.warm += 1
         if tenant_id is not None:
             self._tenant_outcome(tenant_id).warm += 1
 
@@ -177,7 +181,10 @@ class SimulationMetrics:
         self.cold_starts += 1
         self.ideal_exec_time_s += warm_time_s
         self.actual_exec_time_s += cold_time_s
-        self._outcome(function_name).cold += 1
+        outcome = self.per_function.get(function_name)
+        if outcome is None:
+            outcome = self.per_function[function_name] = FunctionOutcome()
+        outcome.cold += 1
         if tenant_id is not None:
             self._tenant_outcome(tenant_id).cold += 1
 

@@ -201,6 +201,12 @@ class KeepAliveSimulator:
         self._policy_prewarms = (
             type(policy).due_prewarms is not KeepAlivePolicy.due_prewarms
         )
+        # Admission fast path, same trick: only doorkeepers override
+        # ``should_retain``; everyone else retains every container, so
+        # releases skip the call.
+        self._policy_admits = (
+            type(policy).should_retain is not KeepAlivePolicy.should_retain
+        )
         self.prewarm_effectiveness = prewarm_effectiveness
         self.warmup_s = warmup_s
         self._track_timeline = track_memory_timeline
@@ -316,7 +322,9 @@ class KeepAliveSimulator:
                 continue
             # Admission gate: policies with a doorkeeper may refuse to
             # keep an unproven function's container warm at all.
-            if not self.policy.should_retain(container, finish_s, self.pool):
+            if self._policy_admits and not self.policy.should_retain(
+                container, finish_s, self.pool
+            ):
                 if self._tracer is not None:
                     self._trace_evicted(container, finish_s, "admission")
                 self.pool.evict(container)
@@ -390,6 +398,8 @@ class KeepAliveSimulator:
         return True
 
     def _sample_memory(self, now_s: float) -> None:
+        """Append a memory-timeline sample if one is due. Callers on
+        the per-arrival path check ``_track_timeline`` first."""
         if not self._track_timeline:
             return
         if now_s - self._last_sample_s >= self._timeline_interval_s:
@@ -416,7 +426,13 @@ class KeepAliveSimulator:
         Every attempt runs this as its prologue; the live serving mode
         (docs/live-serving.md) also calls it from a periodic timer so
         expirations drain during idle stretches with no arrivals."""
-        self._release_finished(now_s)
+        # Skip the release phase when nothing finishes by ``now_s``
+        # and no deferred deflation waits for containers to idle.
+        running = self._running
+        if (
+            running and running[0][0] <= now_s
+        ) or self.pool.deflation_target_mb is not None:
+            self._release_finished(now_s)
         if self._policy_expires and self.policy.next_expiry_s(self.pool) <= now_s:
             self._expire_containers(now_s)
         if self._policy_prewarms and self.policy.next_prewarm_s() <= now_s:
@@ -431,14 +447,15 @@ class KeepAliveSimulator:
         # bookkeeping and events carry no ``tenant`` field, keeping
         # legacy traces byte-identical.
         tenant_id = function.tenant_id if self._tenants_active else None
-        tenant_extra = {} if tenant_id is None else {"tenant": tenant_id}
-        if tracer is not None and attempt == 0:
-            tracer.emit(
-                "invocation_arrived",
-                now_s,
-                function=function.name,
-                **tenant_extra,
-            )
+        if tracer is not None:
+            tenant_extra = {} if tenant_id is None else {"tenant": tenant_id}
+            if attempt == 0:
+                tracer.emit(
+                    "invocation_arrived",
+                    now_s,
+                    function=function.name,
+                    **tenant_extra,
+                )
 
         if self._down:
             # Routed to (or retried on) a failed server. With a fault
@@ -494,7 +511,8 @@ class KeepAliveSimulator:
                     actual_time_s=duration,
                     tenant_id=tenant_id,
                 )
-            self._sample_memory(now_s)
+            if self._track_timeline:
+                self._sample_memory(now_s)
             return "warm"
 
         # A spawn failure strikes before any eviction work happens: the
@@ -531,7 +549,8 @@ class KeepAliveSimulator:
                 )
             if now_s >= self.warmup_s:
                 self.metrics.record_dropped(function.name, tenant_id=tenant_id)
-            self._sample_memory(now_s)
+            if self._track_timeline:
+                self._sample_memory(now_s)
             return "dropped"
 
         container = Container(function, created_at_s=now_s)
@@ -563,7 +582,8 @@ class KeepAliveSimulator:
                 function.cold_time_s,
                 tenant_id=tenant_id,
             )
-        self._sample_memory(now_s)
+        if self._track_timeline:
+            self._sample_memory(now_s)
         return "cold"
 
     # ------------------------------------------------------------------

@@ -185,3 +185,47 @@ class TestLoopbackSmoke:
             assert stats["pool"]["containers"] == 0
         finally:
             thread.stop()
+
+    def test_openloop_latency_includes_sender_lateness(self, monkeypatch):
+        """Coordinated omission: an open-loop request's RTT runs from
+        its scheduled send time. A generator that stalls before its
+        first send leaves the whole schedule overdue, and every
+        reported RTT must include that lateness."""
+        import time
+
+        from repro.live import loadgen
+
+        stall_s = 0.3
+        encode = loadgen._encode_admit
+        stalled = []
+
+        def stalling_encode(function_name, now_s):
+            if not stalled:
+                stalled.append(True)
+                time.sleep(stall_s)  # blocks the generator's event loop
+            return encode(function_name, now_s)
+
+        monkeypatch.setattr(loadgen, "_encode_admit", stalling_encode)
+        trace = skewed_frequency_trace(seed=23)
+        count = 40
+        times = [inv.time_s for inv in trace][:count]
+        # Compress the schedule so every request is due within 10 ms.
+        speed = max(times[-1] - times[0], 1e-3) / 0.01
+        service = LivePoolService(trace, "GD", MEMORY_MB)
+        thread = ServerThread(service).start()
+        try:
+            report = run_loadgen(
+                trace,
+                thread.host,
+                thread.port,
+                mode="openloop",
+                speed=speed,
+                limit=count,
+            )
+        finally:
+            thread.stop()
+        assert report.completed == report.sent == count
+        assert report.statuses == {200: count}
+        # Due within 10 ms of the start, sent after a 300 ms stall:
+        # every RTT carries at least the remaining ~290 ms of lateness.
+        assert report.client_latency.summary()["min_us"] >= 0.28e6
