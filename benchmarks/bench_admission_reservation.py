@@ -57,7 +57,7 @@ def run_all():
         )
         metrics = sim.run().metrics
         working_warm = sum(
-            metrics.per_function[f.name].warm for f in working
+            metrics.per_function[f.name].warm_starts for f in working
         )
         rows.append(
             [

@@ -64,10 +64,10 @@ def test_fig8_server_breakdown(benchmark):
         fn_rows.append(
             [
                 name,
-                ow_fn[name].warm,
+                ow_fn[name].warm_starts,
                 ow_fn[name].dropped,
                 ow.function_hit_ratio(name),
-                fc_fn[name].warm,
+                fc_fn[name].warm_starts,
                 fc_fn[name].dropped,
                 fc.function_hit_ratio(name),
             ]

@@ -65,7 +65,7 @@ def doorkeeper_demo() -> None:
         ("DOORKEEPER(GD)", create_policy("DOORKEEPER", inner="GD")),
     ):
         metrics = simulate(trace, policy, 1000.0).metrics
-        working_warm = sum(metrics.per_function[f.name].warm for f in working)
+        working_warm = sum(metrics.per_function[f.name].warm_starts for f in working)
         rows.append([label, working_warm, metrics.warm_starts])
     print()
     print(
@@ -96,7 +96,7 @@ def provisioned_concurrency_demo() -> None:
         )
         metrics = sim.run().metrics
         outcome = metrics.per_function["vip-checkout"]
-        rows.append([label, outcome.warm, outcome.cold])
+        rows.append([label, outcome.warm_starts, outcome.cold_starts])
     print()
     print(
         format_table(

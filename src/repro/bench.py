@@ -47,7 +47,7 @@ from repro.faults import FaultSpec
 from repro.sim.columnar import ColumnarReplayEngine
 from repro.sim.scheduler import KeepAliveSimulator, SimulationResult
 from repro.sim.server import GB_MB
-from repro.sim.sweep import point_fingerprint, run_cell
+from repro.sim.sweep import fingerprint_counters, point_fingerprint, run_cell
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.model import Invocation, Trace, TraceFunction
 from repro.traces.streaming import StreamingChurnTrace
@@ -155,21 +155,13 @@ def _metrics_payload(result: SimulationResult) -> Dict[str, object]:
 
     Integer lifecycle counters plus the headline percentages, with
     floats carried at full ``repr`` precision — any change here is a
-    *results* change, not a performance change. Harvest/spot counters
-    are dropped while zero (mirroring
-    :func:`repro.sim.sweep.point_fingerprint`), so scenarios that
-    predate the harvest subsystem keep their pinned fingerprints.
+    *results* change, not a performance change. Counters are filtered
+    like :func:`repro.sim.sweep.point_fingerprint`'s, so scenarios
+    that predate the harvest subsystem keep their pinned fingerprints.
     """
     metrics = result.metrics
-    counters = dict(sorted(metrics.counters().items()))
-    for key in (
-        "capacity_shrinks", "capacity_grows", "eviction_notices",
-        "deflations",
-    ):
-        if not counters.get(key, 0):
-            counters.pop(key, None)
     return {
-        "counters": counters,
+        "counters": fingerprint_counters(metrics.counters()),
         "cold_start_pct": repr(metrics.cold_start_pct),
         "exec_time_increase_pct": repr(metrics.exec_time_increase_pct),
         "hit_ratio": repr(metrics.hit_ratio),

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = ["CheckCache", "DEFAULT_CACHE_PATH", "content_digest"]
 
 #: Bump when summary shape, finding shape, or keying changes.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 DEFAULT_CACHE_PATH = ".repro-checks-cache.json"
 

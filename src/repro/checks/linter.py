@@ -1,4 +1,5 @@
-"""Driver for the determinism & invariant linter (rules FC001-FC011).
+"""Driver for the determinism & invariant linter (rules FC001-FC004
+and FC006-FC011).
 
 The analysis itself lives in three sibling modules — this file only
 orchestrates the two phases and owns the CLI:
@@ -393,7 +394,6 @@ def check_paths(
     # Phase 3: per-file findings (cache layer: content+env hash).
     all_findings: List[Finding] = []
     all_suppressed: List[Finding] = []
-    lines_by_path: Dict[str, List[str]] = {}
     for state in states:
         assert state.summary is not None
         cached = (
@@ -447,31 +447,8 @@ def check_paths(
                     [_finding_to_dict(item) for item in findings],
                     [_finding_to_dict(item) for item in suppressed],
                 )
-        if state.source is not None:
-            lines_by_path[path_str] = state.source.splitlines()
         all_findings.extend(findings)
         all_suppressed.extend(suppressed)
-
-    # Project-level rules (FC005): cheap, recomputed every run.
-    for rule in ALL_RULES:
-        for finding in rule.check_project(index.symbols):
-            if select is not None and finding.code not in select:
-                continue
-            lines_opt = lines_by_path.get(finding.path)
-            if lines_opt is None:
-                try:
-                    lines_opt = (
-                        pathlib.Path(finding.path)
-                        .read_text()
-                        .splitlines()
-                    )
-                    lines_by_path[finding.path] = lines_opt
-                except OSError:
-                    lines_opt = None
-            if _is_suppressed(finding, lines_opt):
-                all_suppressed.append(finding)
-            else:
-                all_findings.append(finding)
 
     all_findings.extend(file_findings)
     result = CheckResult(files_checked=len(states))
@@ -494,7 +471,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-checks",
         description=(
             "determinism & invariant linter for the FaasCache "
-            "reproduction (rules FC001-FC011; see "
+            "reproduction (rules FC001-FC004 and FC006-FC011; see "
             "docs/static-analysis.md)"
         ),
     )

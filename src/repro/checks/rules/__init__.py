@@ -15,7 +15,6 @@ from repro.checks.rules.fc001_wall_clock import WallClockRule
 from repro.checks.rules.fc002_rng import UnseededRngRule
 from repro.checks.rules.fc003_set_order import SetOrderRule
 from repro.checks.rules.fc004_event_names import EventNameRule
-from repro.checks.rules.fc005_counter_contract import CounterContractRule
 from repro.checks.rules.fc006_pickle_safety import PickleSafetyRule
 from repro.checks.rules.fc007_float_equality import FloatEqualityRule
 from repro.checks.rules.fc008_mutable_defaults import MutableDefaultRule
@@ -41,7 +40,6 @@ ALL_RULES: List[Rule] = [
     UnseededRngRule(),
     SetOrderRule(),
     EventNameRule(),
-    CounterContractRule(),
     PickleSafetyRule(),
     FloatEqualityRule(),
     MutableDefaultRule(),

@@ -32,7 +32,6 @@ from repro.checks.dataflow import (
     FunctionSummary,
     ModuleSummary,
     ProjectIndex,
-    ProjectSymbols,
     dotted_name,
     is_set_annotation,
     is_set_expr,
@@ -156,13 +155,6 @@ class Rule:
         self, node: ast.ExceptHandler, ctx: "RuleContext"
     ) -> None:
         pass
-
-    # -- project-level hook (runs once per lint, after all files) ----
-
-    def check_project(
-        self, symbols: ProjectSymbols
-    ) -> List[Finding]:
-        return []
 
 
 @dataclass

@@ -1292,7 +1292,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help=(
             "run the determinism & invariant linter "
-            "(rules FC001-FC011, docs/static-analysis.md)"
+            "(rules FC001-FC004 and FC006-FC011, "
+            "docs/static-analysis.md)"
         ),
     )
     check.add_argument(

@@ -27,6 +27,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from repro.cluster.simulation import _server_level_spec
 from repro.core.policies.base import create_policy
 from repro.faults import FaultModel, FaultSpec
+from repro.obs.events import COUNTER_NAMES
 from repro.obs.tracer import Tracer, active_tracer
 from repro.provisioning.cpu_autoscale import ReactiveCpuScaler
 from repro.sim.metrics import SimulationMetrics
@@ -38,11 +39,19 @@ __all__ = ["ElasticClusterResult", "ElasticClusterSimulation"]
 
 @dataclass
 class ElasticClusterResult:
-    """Aggregate outcome plus the scaling timeline."""
+    """Aggregate outcome plus the scaling timeline.
+
+    Carries one field per lifecycle counter
+    (:data:`~repro.obs.events.LIFECYCLE_COUNTERS`), summed over every
+    server that ever ran.
+    """
 
     warm_starts: int = 0
     cold_starts: int = 0
     dropped: int = 0
+    evictions: int = 0
+    expirations: int = 0
+    prewarms: int = 0
     #: (time, active server count) at each control period.
     server_timeline: List[Tuple[float, int]] = field(default_factory=list)
     #: Integral of active servers over time, in server-seconds.
@@ -335,17 +344,9 @@ class ElasticClusterSimulation:
     def _fold_metrics(
         metrics: SimulationMetrics, result: ElasticClusterResult
     ) -> None:
-        result.warm_starts += metrics.warm_starts
-        result.cold_starts += metrics.cold_starts
-        result.dropped += metrics.dropped
-        result.faults_injected += metrics.faults_injected
-        result.retries += metrics.retries
-        result.sheds += metrics.sheds
-        result.server_downs += metrics.server_downs
-        result.capacity_shrinks += metrics.capacity_shrinks
-        result.capacity_grows += metrics.capacity_grows
-        result.eviction_notices += metrics.eviction_notices
-        result.deflations += metrics.deflations
+        for name in COUNTER_NAMES:
+            total = getattr(result, name) + getattr(metrics, name)
+            setattr(result, name, total)
 
     # ------------------------------------------------------------------
 

@@ -175,7 +175,8 @@ class LivePoolService:
             }
 
     def counters(self) -> Dict[str, int]:
-        """The engine's aggregate lifecycle counters (the same 14-key
-        contract SimulationMetrics.counters() pins)."""
+        """The engine's aggregate lifecycle counters, keyed like
+        :meth:`SimulationMetrics.counters` (one key per
+        :data:`~repro.obs.events.LIFECYCLE_COUNTERS` row)."""
         with self._lock:
             return dict(self._sim.metrics.counters())

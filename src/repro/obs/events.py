@@ -70,15 +70,20 @@ Four further types cover harvested/spot capacity
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 __all__ = [
+    "COUNTER_NAMES",
     "EVENT_SCHEMAS",
     "EVENT_TYPES",
     "EVICTION_REASONS",
     "FAULT_KINDS",
+    "LIFECYCLE_COUNTERS",
+    "LifecycleCounter",
     "SHED_REASONS",
     "SchemaError",
+    "TENANT_COUNTER_NAMES",
+    "ZERO_DROPPED_COUNTERS",
     "validate_event",
 ]
 
@@ -199,6 +204,76 @@ FAULT_KINDS = ("spawn_failure", "crash", "timeout")
 SHED_REASONS = ("retry_budget", "queue_full", "memory_pressure", "unavailable")
 
 EVENT_TYPES: Tuple[str, ...] = tuple(sorted(EVENT_SCHEMAS))
+
+
+class LifecycleCounter(NamedTuple):
+    """One integer lifecycle counter of the trace/aggregate contract.
+
+    The simulator increments a same-named field of
+    :class:`~repro.sim.metrics.SimulationMetrics`;
+    :class:`~repro.obs.report.TraceReport` independently counts the
+    ``event`` occurrences that pass the optional field filter. The two
+    must agree on a fully-traced run.
+    """
+
+    name: str
+    #: Event type whose occurrences rebuild the counter from a trace.
+    event: str
+    #: Optional payload field the event is filtered on: it counts only
+    #: when ``event[field]`` is one of ``values`` or, with no
+    #: ``values``, when the field is truthy.
+    field: Optional[str] = None
+    values: Tuple[str, ...] = ()
+    #: Also kept per tenant, from the events' ``tenant`` context field.
+    per_tenant: bool = False
+    #: Left out of result fingerprints while zero, so cells that never
+    #: touch the subsystem behind it keep the fingerprints they had
+    #: before the counter existed (committed baselines stay valid).
+    zero_dropped: bool = False
+
+    def matches(self, event: Mapping[str, Any]) -> bool:
+        """Whether ``event`` (already of type :attr:`event`) counts."""
+        if self.field is None:
+            return True
+        value = event.get(self.field)
+        return value in self.values if self.values else bool(value)
+
+
+#: The lifecycle counters, declared once, in ``counters()`` key order.
+#: ``SimulationMetrics.counters()``/``tenant_counters()``,
+#: ``TraceReport.counters()``/``tenant_counters()``, result
+#: fingerprints and elastic-cluster aggregation all derive from it.
+#: Adding a counter is one row here plus the code that increments the
+#: same-named ``SimulationMetrics`` field (and ``FunctionOutcome``
+#: field, for a per-tenant row) where the event is emitted.
+LIFECYCLE_COUNTERS: Tuple[LifecycleCounter, ...] = (
+    LifecycleCounter("warm_starts", "warm_hit", per_tenant=True),
+    LifecycleCounter("cold_starts", "cold_start", per_tenant=True),
+    LifecycleCounter("dropped", "dropped", per_tenant=True),
+    LifecycleCounter("evictions", "evicted", "reason", ("pressure",)),
+    # Doorkeeper admission refusals count as expirations too. The
+    # ``failure`` reason is in neither row (see EVICTION_REASONS).
+    LifecycleCounter(
+        "expirations", "evicted", "reason", ("expiry", "admission")
+    ),
+    LifecycleCounter("prewarms", "container_spawned", "prewarmed"),
+    LifecycleCounter("faults_injected", "fault_injected"),
+    LifecycleCounter("retries", "invocation_retried"),
+    LifecycleCounter("sheds", "invocation_shed"),
+    LifecycleCounter("server_downs", "server_down"),
+    LifecycleCounter("capacity_shrinks", "capacity_shrunk", zero_dropped=True),
+    LifecycleCounter("capacity_grows", "capacity_grown", zero_dropped=True),
+    LifecycleCounter("eviction_notices", "eviction_notice", zero_dropped=True),
+    LifecycleCounter("deflations", "container_deflated", zero_dropped=True),
+)
+
+COUNTER_NAMES: Tuple[str, ...] = tuple(c.name for c in LIFECYCLE_COUNTERS)
+TENANT_COUNTER_NAMES: Tuple[str, ...] = tuple(
+    c.name for c in LIFECYCLE_COUNTERS if c.per_tenant
+)
+ZERO_DROPPED_COUNTERS: Tuple[str, ...] = tuple(
+    c.name for c in LIFECYCLE_COUNTERS if c.zero_dropped
+)
 
 
 class SchemaError(ValueError):

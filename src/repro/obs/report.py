@@ -24,6 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.obs.events import (
+    COUNTER_NAMES,
+    LIFECYCLE_COUNTERS,
+    TENANT_COUNTER_NAMES,
+    LifecycleCounter,
+)
 from repro.obs.sinks import PathLike, read_jsonl_events
 
 __all__ = [
@@ -47,6 +53,11 @@ _TIMELINE_EVENTS = (
     "invocation_shed",
     "container_deflated",
 )
+
+#: Lifecycle-counter rows by the event type that rebuilds them.
+_COUNTERS_BY_EVENT: Dict[str, List[LifecycleCounter]] = {}
+for _row in LIFECYCLE_COUNTERS:
+    _COUNTERS_BY_EVENT.setdefault(_row.event, []).append(_row)
 
 
 @dataclass
@@ -87,6 +98,7 @@ class TraceReport:
 
     def __init__(self) -> None:
         self.event_counts: Dict[str, int] = {}
+        self._counters: Dict[str, int] = dict.fromkeys(COUNTER_NAMES, 0)
         self.first_time_s: Optional[float] = None
         self.last_time_s: Optional[float] = None
         self.per_function: Dict[str, FunctionTimeline] = {}
@@ -100,7 +112,6 @@ class TraceReport:
         self.evictions_by_reason: Dict[str, int] = {}
         self.evictions_by_policy: Dict[str, int] = {}
         # Spawn breakdown.
-        self.prewarmed_spawns = 0
         self.pinned_spawns = 0
         # Fault injection / recovery (docs/robustness.md).
         self.faults_by_kind: Dict[str, int] = {}
@@ -109,11 +120,11 @@ class TraceReport:
         # Harvested/spot capacity (docs/robustness.md).
         self.deflated_mb = 0.0
         self.capacity_deferred_mb = 0.0
-        # Per-tenant outcome counts, rebuilt from the optional
-        # ``tenant`` context field on warm_hit/cold_start/dropped
-        # events (docs/multi-tenancy.md). Tenant-less traces never
-        # carry the field, leaving this empty.
-        self._tenant_outcomes: Dict[int, Dict[str, int]] = {}
+        # Per-tenant counts of the per-tenant rows, rebuilt from the
+        # events' optional ``tenant`` context field
+        # (docs/multi-tenancy.md). Tenant-less traces never carry the
+        # field, leaving this empty.
+        self._tenant_counters: Dict[int, Dict[str, int]] = {}
         # Open eviction -> next cold-start gap tracking.
         self._evicted_at: Dict[str, float] = {}
 
@@ -133,22 +144,18 @@ class TraceReport:
             self.first_time_s = time_s
         self.last_time_s = time_s
 
-        if event_type in ("warm_hit", "cold_start", "dropped"):
-            tenant = event.get("tenant")
+        for row in _COUNTERS_BY_EVENT.get(event_type, ()):
+            if not row.matches(event):
+                continue
+            self._counters[row.name] += 1
+            tenant = event.get("tenant") if row.per_tenant else None
             if tenant is not None:
-                outcome = self._tenant_outcomes.get(tenant)
-                if outcome is None:
-                    outcome = self._tenant_outcomes[tenant] = {
-                        "warm_starts": 0,
-                        "cold_starts": 0,
-                        "dropped": 0,
-                    }
-                if event_type == "warm_hit":
-                    outcome["warm_starts"] += 1
-                elif event_type == "cold_start":
-                    outcome["cold_starts"] += 1
-                else:
-                    outcome["dropped"] += 1
+                counts = self._tenant_counters.get(tenant)
+                if counts is None:
+                    counts = self._tenant_counters[tenant] = dict.fromkeys(
+                        TENANT_COUNTER_NAMES, 0
+                    )
+                counts[row.name] += 1
 
         function = event.get("function")
         if function is not None and event_type in _TIMELINE_EVENTS:
@@ -183,8 +190,6 @@ class TraceReport:
                 entry.refaults += 1
                 entry.refault_gap_s += time_s - evicted_at
         elif event_type == "container_spawned":
-            if event.get("prewarmed"):
-                self.prewarmed_spawns += 1
             if event.get("pinned"):
                 self.pinned_spawns += 1
         elif event_type == "fault_injected":
@@ -224,49 +229,26 @@ class TraceReport:
         Keyed exactly like
         :meth:`repro.sim.metrics.SimulationMetrics.counters`, so the
         two can be compared directly (the trace/aggregate consistency
-        gate). Note the simulator's ``expirations`` counter covers both
+        gate); each is the count of its
+        :data:`~repro.obs.events.LIFECYCLE_COUNTERS` row's events.
+        Note the simulator's ``expirations`` counter covers both
         time-based expiry and doorkeeper admission refusals — the
         trace keeps them distinguishable via the ``reason`` field.
-        ``failure`` evictions (crashed containers, dead servers) are
-        excluded from both sides by the same rule: the fault itself is
-        counted by ``faults_injected`` / ``server_downs``.
         """
-        by_reason = self.evictions_by_reason
-        return {
-            "warm_starts": self.event_counts.get("warm_hit", 0),
-            "cold_starts": self.event_counts.get("cold_start", 0),
-            "dropped": self.event_counts.get("dropped", 0),
-            "evictions": by_reason.get("pressure", 0),
-            "expirations": (
-                by_reason.get("expiry", 0) + by_reason.get("admission", 0)
-            ),
-            "prewarms": self.prewarmed_spawns,
-            "faults_injected": self.event_counts.get("fault_injected", 0),
-            "retries": self.event_counts.get("invocation_retried", 0),
-            "sheds": self.event_counts.get("invocation_shed", 0),
-            "server_downs": self.event_counts.get("server_down", 0),
-            "capacity_shrinks": self.event_counts.get("capacity_shrunk", 0),
-            "capacity_grows": self.event_counts.get("capacity_grown", 0),
-            "eviction_notices": self.event_counts.get("eviction_notice", 0),
-            "deflations": self.event_counts.get("container_deflated", 0),
-        }
+        return dict(self._counters)
 
     def tenant_counters(self) -> Dict[int, Dict[str, int]]:
         """Per-tenant lifecycle counters rebuilt from the trace.
 
         Keyed exactly like
         :meth:`repro.sim.metrics.SimulationMetrics.tenant_counters`
-        (the per-tenant half of the trace/aggregate contract; FC005
-        checks the inner key set for drift). Empty for tenant-less
-        traces, whose events never carry a ``tenant`` field.
+        (the per-tenant half of the trace/aggregate contract). Empty
+        for tenant-less traces, whose events never carry a ``tenant``
+        field.
         """
         return {
-            tenant_id: {
-                "warm_starts": outcome["warm_starts"],
-                "cold_starts": outcome["cold_starts"],
-                "dropped": outcome["dropped"],
-            }
-            for tenant_id, outcome in sorted(self._tenant_outcomes.items())
+            tenant_id: dict(counts)
+            for tenant_id, counts in sorted(self._tenant_counters.items())
         }
 
     @property
@@ -274,14 +256,13 @@ class TraceReport:
         """Jain's fairness index over per-tenant warm-hit ratios,
         rebuilt from the trace (mirrors
         :attr:`SimulationMetrics.jain_fairness_index`)."""
-        from repro.sim.metrics import jain_index
+        from repro.sim.metrics import FunctionOutcome, jain_index
 
-        ratios = []
-        for __, outcome in sorted(self._tenant_outcomes.items()):
-            served = outcome["warm_starts"] + outcome["cold_starts"]
-            if served:
-                ratios.append(outcome["warm_starts"] / served)
-        return jain_index(ratios)
+        outcomes = [
+            FunctionOutcome(**counts)
+            for __, counts in sorted(self._tenant_counters.items())
+        ]
+        return jain_index([o.hit_ratio for o in outcomes if o.served])
 
     def check_tenant_counters(
         self, expected: Mapping[int, Mapping[str, int]]
@@ -331,8 +312,10 @@ class TraceReport:
         """Compare rebuilt counters against an expected dict.
 
         Returns a list of human-readable mismatch descriptions (empty
-        means the trace and the aggregate metrics agree). Keys missing
-        from ``expected`` are ignored, so a partial check is possible.
+        means the trace and the aggregate metrics agree). A counter
+        missing from ``expected`` is a mismatch too: every caller
+        passes the full dict, so a missing key means a truncated or
+        stale summary, not a partial check.
         """
         rebuilt = self.counters()
         mismatches = []
@@ -342,6 +325,11 @@ class TraceReport:
             elif rebuilt[key] != want:
                 mismatches.append(
                     f"{key}: trace says {rebuilt[key]}, metrics say {want}"
+                )
+        for key, got in rebuilt.items():
+            if key not in expected:
+                mismatches.append(
+                    f"{key}: trace says {got}, metrics have no value"
                 )
         return mismatches
 
@@ -358,8 +346,9 @@ class TraceReport:
         )
         lines.append("")
         lines.append("lifecycle counters (rebuilt from the trace):")
+        width = max(len(name) for name in COUNTER_NAMES)
         for key, value in self.counters().items():
-            lines.append(f"  {key:<14} {value}")
+            lines.append(f"  {key:<{width}} {value}")
         if self.evictions_by_reason:
             lines.append("")
             lines.append("evictions by reason:")

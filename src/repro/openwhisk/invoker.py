@@ -159,9 +159,9 @@ class InvokerResult:
         for record in self.records:
             outcome = outcomes.setdefault(record.function_name, FunctionOutcome())
             if record.outcome == "hit":
-                outcome.warm += 1
+                outcome.warm_starts += 1
             elif record.outcome == "miss":
-                outcome.cold += 1
+                outcome.cold_starts += 1
             else:
                 outcome.dropped += 1
         return outcomes

@@ -419,7 +419,7 @@ def _ttl_kernel_metrics(
     for fid in state.appearance:
         cold = int(cold_counts[fid])
         metrics.per_function[names[fid]] = FunctionOutcome(
-            warm=int(total_counts[fid]) - cold, cold=cold
+            warm_starts=int(total_counts[fid]) - cold, cold_starts=cold
         )
     return metrics
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.events import COUNTER_NAMES, TENANT_COUNTER_NAMES
+
 __all__ = ["FunctionOutcome", "SimulationMetrics", "jain_index"]
 
 
@@ -45,15 +47,16 @@ def jain_index(values: List[float]) -> float:
 
 @dataclass
 class FunctionOutcome:
-    """Per-function invocation outcome counters."""
+    """Per-function invocation outcome counters, named like the
+    per-tenant rows of :data:`repro.obs.events.LIFECYCLE_COUNTERS`."""
 
-    warm: int = 0
-    cold: int = 0
+    warm_starts: int = 0
+    cold_starts: int = 0
     dropped: int = 0
 
     @property
     def served(self) -> int:
-        return self.warm + self.cold
+        return self.warm_starts + self.cold_starts
 
     @property
     def total(self) -> int:
@@ -61,7 +64,7 @@ class FunctionOutcome:
 
     @property
     def hit_ratio(self) -> float:
-        return self.warm / self.served if self.served else 0.0
+        return self.warm_starts / self.served if self.served else 0.0
 
 
 @dataclass
@@ -167,9 +170,9 @@ class SimulationMetrics:
         outcome = self.per_function.get(function_name)
         if outcome is None:
             outcome = self.per_function[function_name] = FunctionOutcome()
-        outcome.warm += 1
+        outcome.warm_starts += 1
         if tenant_id is not None:
-            self._tenant_outcome(tenant_id).warm += 1
+            self._tenant_outcome(tenant_id).warm_starts += 1
 
     def record_cold(
         self,
@@ -184,9 +187,9 @@ class SimulationMetrics:
         outcome = self.per_function.get(function_name)
         if outcome is None:
             outcome = self.per_function[function_name] = FunctionOutcome()
-        outcome.cold += 1
+        outcome.cold_starts += 1
         if tenant_id is not None:
-            self._tenant_outcome(tenant_id).cold += 1
+            self._tenant_outcome(tenant_id).cold_starts += 1
 
     def record_dropped(
         self, function_name: str, tenant_id: Optional[int] = None
@@ -302,7 +305,8 @@ class SimulationMetrics:
         return weighted / span
 
     def counters(self) -> Dict[str, int]:
-        """The integer lifecycle counters only.
+        """The integer lifecycle counters only, in
+        :data:`~repro.obs.events.LIFECYCLE_COUNTERS` order.
 
         This is the contract shared with the observability layer:
         :meth:`repro.obs.report.TraceReport.counters` rebuilds exactly
@@ -310,22 +314,7 @@ class SimulationMetrics:
         fully-traced run (the CI trace-consistency gate). Sweeps also
         snapshot this dict per cell.
         """
-        return {
-            "warm_starts": self.warm_starts,
-            "cold_starts": self.cold_starts,
-            "dropped": self.dropped,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "prewarms": self.prewarms,
-            "faults_injected": self.faults_injected,
-            "retries": self.retries,
-            "sheds": self.sheds,
-            "server_downs": self.server_downs,
-            "capacity_shrinks": self.capacity_shrinks,
-            "capacity_grows": self.capacity_grows,
-            "eviction_notices": self.eviction_notices,
-            "deflations": self.deflations,
-        }
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
 
     def tenant_counters(self) -> Dict[int, Dict[str, int]]:
         """Per-tenant lifecycle counters, in ascending tenant-id order.
@@ -335,13 +324,11 @@ class SimulationMetrics:
         exactly these keys from the events' ``tenant`` fields, and the
         two must agree for a fully-traced tenant run (checked by the
         sanitizer and the tenant-fairness CI job). Empty on tenant-less
-        runs. The inner key set is covered by the FC005 drift check.
+        runs.
         """
         return {
             tenant_id: {
-                "warm_starts": outcome.warm,
-                "cold_starts": outcome.cold,
-                "dropped": outcome.dropped,
+                name: getattr(outcome, name) for name in TENANT_COUNTER_NAMES
             }
             for tenant_id, outcome in sorted(self.per_tenant.items())
         }
@@ -351,7 +338,9 @@ class SimulationMetrics:
         ascending tenant-id order. Empty on tenant-less runs."""
         return {
             tenant_id: (
-                outcome.cold / outcome.served if outcome.served else 0.0
+                outcome.cold_starts / outcome.served
+                if outcome.served
+                else 0.0
             )
             for tenant_id, outcome in sorted(self.per_tenant.items())
         }
@@ -387,20 +376,7 @@ class SimulationMetrics:
     def summary(self) -> Dict[str, float]:
         """A flat dict of the headline numbers, for tables and tests."""
         return {
-            "warm_starts": self.warm_starts,
-            "cold_starts": self.cold_starts,
-            "dropped": self.dropped,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "prewarms": self.prewarms,
-            "faults_injected": self.faults_injected,
-            "retries": self.retries,
-            "sheds": self.sheds,
-            "server_downs": self.server_downs,
-            "capacity_shrinks": self.capacity_shrinks,
-            "capacity_grows": self.capacity_grows,
-            "eviction_notices": self.eviction_notices,
-            "deflations": self.deflations,
+            **self.counters(),
             "cold_start_pct": self.cold_start_pct,
             "exec_time_increase_pct": self.exec_time_increase_pct,
             "hit_ratio": self.hit_ratio,

@@ -17,6 +17,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.policies import PAPER_POLICIES, create_policy
 from repro.faults import FaultSpec, cell_fault_spec
+from repro.obs.events import ZERO_DROPPED_COUNTERS
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 from repro.sim.scheduler import KeepAliveSimulator, SimulationResult
@@ -33,6 +34,7 @@ __all__ = [
     "memory_sizes_gb",
     "point_from_result",
     "point_fingerprint",
+    "fingerprint_counters",
 ]
 
 
@@ -109,15 +111,14 @@ def point_from_result(
     )
 
 
-#: Counters dropped from :func:`point_fingerprint` when zero, so cells
-#: untouched by the harvest/spot subsystem keep their pre-subsystem
-#: fingerprints (committed baselines stay valid without regeneration).
-_ZERO_EXCLUDED_COUNTERS = (
-    "capacity_shrinks",
-    "capacity_grows",
-    "eviction_notices",
-    "deflations",
-)
+def fingerprint_counters(counters: Mapping[str, int]) -> Dict[str, int]:
+    """``counters`` sorted by key, without the
+    :data:`~repro.obs.events.ZERO_DROPPED_COUNTERS` that read zero."""
+    return {
+        key: value
+        for key, value in sorted(counters.items())
+        if value or key not in ZERO_DROPPED_COUNTERS
+    }
 
 
 def point_fingerprint(point: SweepPoint) -> str:
@@ -139,10 +140,6 @@ def point_fingerprint(point: SweepPoint) -> str:
     harvest-free cells fingerprint exactly as before the subsystem
     existed.
     """
-    counters = dict(sorted(point.counters.items()))
-    for key in _ZERO_EXCLUDED_COUNTERS:
-        if not counters.get(key, 0):
-            counters.pop(key, None)
     payload = {
         "policy": point.policy,
         "memory_gb": repr(point.memory_gb),
@@ -151,7 +148,7 @@ def point_fingerprint(point: SweepPoint) -> str:
         "drop_ratio": repr(point.drop_ratio),
         "hit_ratio": repr(point.hit_ratio),
         "global_hit_ratio": repr(point.global_hit_ratio),
-        "counters": counters,
+        "counters": fingerprint_counters(point.counters),
     }
     if point.tenant_counters:
         payload["tenant_counters"] = {

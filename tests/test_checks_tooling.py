@@ -154,6 +154,26 @@ class TestIncrementalCache:
         payload = json.loads(cache_path.read_text())
         assert payload["version"] == CACHE_VERSION
 
+    def test_older_version_cache_is_discarded(self, tmp_path):
+        path = _write(tmp_path, "mod.py", BAD_SOURCE)
+        cache_path = tmp_path / "cache.json"
+        cache = CheckCache(cache_path)
+        cold = check_paths([path], cache=cache)
+        cache.save()
+        # The same entries stamped with version 3 (whose summaries
+        # carried the counter-contract fields), with the cached
+        # findings emptied: replaying them would hide FC001.
+        payload = json.loads(cache_path.read_text())
+        payload["version"] = 3
+        for entry in payload["results"].values():
+            entry["findings"] = []
+        cache_path.write_text(json.dumps(payload))
+        cache = CheckCache(cache_path)
+        result = check_paths([path], cache=cache)
+        assert result.cache_hits == 0
+        assert result.findings == cold.findings
+        assert result.suppressed == cold.suppressed
+
     def test_select_change_invalidates_findings(self, tmp_path):
         path = _write(tmp_path, "mod.py", BAD_SOURCE)
         cache_path = tmp_path / "cache.json"

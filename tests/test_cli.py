@@ -324,6 +324,23 @@ class TestObservabilityCLI:
                      str(summary)]) == 1
         assert "MISMATCH" in capsys.readouterr().err
 
+    def test_trace_report_check_detects_missing_counters(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        events, summary = self._traced_pair(tmp_path)
+        payload = json.loads(summary.read_text())
+        for key in ("cold_starts", "evictions", "deflations"):
+            del payload["counters"][key]
+        summary.write_text(json.dumps(payload))
+        assert main(["trace-report", str(events), "--check",
+                     str(summary)]) == 1
+        err = capsys.readouterr().err
+        assert "MISMATCH (3)" in err
+        for key in ("cold_starts", "evictions", "deflations"):
+            assert f"{key}: trace says" in err
+
     def test_trace_report_function_timeline(self, tmp_path, capsys):
         events, __ = self._traced_pair(tmp_path)
         from repro.obs.sinks import read_jsonl_events

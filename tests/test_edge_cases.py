@@ -9,7 +9,7 @@ from tests.conftest import make_function, make_trace
 
 class TestFunctionOutcome:
     def test_counters_and_ratios(self):
-        o = FunctionOutcome(warm=3, cold=1, dropped=2)
+        o = FunctionOutcome(warm_starts=3, cold_starts=1, dropped=2)
         assert o.served == 4
         assert o.total == 6
         assert o.hit_ratio == pytest.approx(0.75)
@@ -63,7 +63,7 @@ class TestSimulationMetricsDirect:
         m = SimulationMetrics()
         m.record_warm("a", 1.0)
         m.record_dropped("b")
-        assert m.per_function["a"].warm == 1
+        assert m.per_function["a"].warm_starts == 1
         assert m.per_function["b"].dropped == 1
         assert "c" not in m.per_function
 

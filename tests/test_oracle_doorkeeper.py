@@ -167,10 +167,10 @@ class TestDoorkeeper:
             trace, create_policy("DOORKEEPER", inner="GD"), 1000.0
         ).metrics
         working_warm_plain = sum(
-            plain.per_function[f.name].warm for f in working
+            plain.per_function[f.name].warm_starts for f in working
         )
         working_warm_gated = sum(
-            gated.per_function[f.name].warm for f in working
+            gated.per_function[f.name].warm_starts for f in working
         )
         assert working_warm_gated > working_warm_plain
 

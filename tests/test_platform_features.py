@@ -126,14 +126,14 @@ class TestProvisionedConcurrency:
             reserved_concurrency={"A": 1},
         )
         metrics = sim.run().metrics
-        assert metrics.per_function["A"].cold == 0
-        assert metrics.per_function["A"].warm == 5
+        assert metrics.per_function["A"].cold_starts == 0
+        assert metrics.per_function["A"].warm_starts == 5
 
     def test_without_reservation_rare_function_churns(self):
         trace = self.make_trace()
         sim = KeepAliveSimulator(trace, create_policy("GD"), memory_mb=350.0)
         metrics = sim.run().metrics
-        assert metrics.per_function["A"].cold >= 4
+        assert metrics.per_function["A"].cold_starts >= 4
 
     def test_reservation_costs_the_others(self):
         trace = self.make_trace()
@@ -146,7 +146,7 @@ class TestProvisionedConcurrency:
         # With half the cache pinned for A, B has only one slot left —
         # which it can still use, but A's reservation can never be
         # reclaimed even while A idles.
-        assert reserved.per_function["B"].warm <= free.per_function["B"].warm
+        assert reserved.per_function["B"].warm_starts <= free.per_function["B"].warm_starts
 
     def test_unknown_reserved_function_rejected(self):
         trace = self.make_trace()
@@ -185,4 +185,4 @@ class TestProvisionedConcurrency:
         metrics = sim.run().metrics
         # A's IATs (1000 s) exceed the 60 s TTL, but the pinned
         # container survives every gap.
-        assert metrics.per_function["A"].cold == 0
+        assert metrics.per_function["A"].cold_starts == 0

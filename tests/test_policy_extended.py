@@ -244,10 +244,10 @@ class TestARC:
         lru = simulate(trace, "LRU", 800.0).metrics
         # ARC keeps the working set warm through the scan; LRU flushes it.
         final_warm_arc = sum(
-            arc.per_function[f.name].warm for f in working
+            arc.per_function[f.name].warm_starts for f in working
         )
         final_warm_lru = sum(
-            lru.per_function[f.name].warm for f in working
+            lru.per_function[f.name].warm_starts for f in working
         )
         assert final_warm_arc > final_warm_lru
 

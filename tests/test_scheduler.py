@@ -189,7 +189,7 @@ class TestEvictionCorrectness:
         trace = Trace([gem, bloat, other], invocations)
         gd = simulate(trace, "GD", 1024.0).metrics
         # After warmup the gem should essentially always hit.
-        assert gd.per_function["gem"].warm >= 28
+        assert gd.per_function["gem"].warm_starts >= 28
 
 
 class TestWarmupExclusion:
